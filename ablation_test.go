@@ -6,6 +6,7 @@ package subzero_test
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -98,21 +99,21 @@ func BenchmarkAblationRTreeFanout(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationCellSetCodec compares the delta+varint cell-set codec
-// against a fixed 8-byte baseline on clustered cells — the compression
-// that makes region lineage cheap (and that outperforms the paper's
-// fanin×4-byte payloads).
+// BenchmarkAblationCellSetCodec compares the tiled container cell-set
+// codec against a fixed 8-byte baseline on clustered cells — the
+// compression that makes region lineage cheap (and that outperforms the
+// paper's fanin×4-byte payloads).
 func BenchmarkAblationCellSetCodec(b *testing.B) {
 	cells := make([]uint64, 1000)
 	base := uint64(500_000)
 	for i := range cells {
 		cells[i] = base + uint64(i*3)
 	}
-	b.Run("delta-varint", func(b *testing.B) {
+	b.Run("containers", func(b *testing.B) {
 		var size int
 		buf := make([]byte, 0, 16*len(cells))
 		for i := 0; i < b.N; i++ {
-			buf = binenc.AppendCellSet(buf[:0], cells)
+			buf = binenc.AppendCellSetContainers(buf[:0], cells)
 			size = len(buf)
 		}
 		b.ReportMetric(float64(size)/float64(len(cells)), "bytes/cell")
@@ -124,7 +125,7 @@ func BenchmarkAblationCellSetCodec(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			buf = buf[:0]
 			for _, c := range cells {
-				buf = append(buf, binenc.PutUint64(c)...)
+				buf = binary.BigEndian.AppendUint64(buf, c)
 			}
 			size = len(buf)
 		}

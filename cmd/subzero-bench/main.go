@@ -16,10 +16,9 @@
 //	subzero-bench trace   end-to-end tracing overhead on the backward
 //	                      lookup, span trees off vs on, plus retention
 //	                      counters
-//	subzero-bench compress  record-codec ablation: store size and encode
-//	                      time per pair under the v2 span codec vs the v3
-//	                      tiled container codec, per workload shape and
-//	                      encoding
+//	subzero-bench compress  record-codec measurement: stored bytes and
+//	                      encode time per pair under the tiled container
+//	                      codec, per workload shape and encoding
 //	subzero-bench all     everything above
 //
 // Absolute numbers differ from the 2013 Python/BerkeleyDB prototype; the
@@ -463,25 +462,20 @@ func obsFigure(ctx context.Context, opts options) error {
 	return nil
 }
 
-// compressFigure is the v3-codec ablation: every compression workload ×
-// encoding is written twice — once under the v2 span codec, once under
-// the v3 tiled container codec — into otherwise identical stores, and
-// the table reports stored bytes, bytes/pair, encode time/pair, and the
-// v2/v3 size ratio, plus each store's ratio to its uncompressed logical
-// volume. Before measuring, each combination's backward answers are
-// cross-checked between the codecs.
+// compressFigure measures the container record codec: every compression
+// workload × encoding is written into a bare in-memory store, and the
+// table reports stored bytes, bytes/pair, encode time/pair, and the
+// store's ratio to its uncompressed logical volume. Before measuring,
+// each combination's backward answers are checked against brute force
+// over the generated pairs.
 func compressFigure(ctx context.Context, opts options) error {
 	scale := opts.microSize / 300 // quick = 300 → 1, full = 1000 → 3
 	if scale < 1 {
 		scale = 1
 	}
-	fmt.Printf("record-codec ablation: v2 spans vs v3 containers (scale %dx)\n\n", scale)
-	t := benchfmt.NewTable("Compression: v2 span codec vs v3 container codec",
-		"workload", "encoding", "pairs",
-		"v2 bytes", "v3 bytes", "v2/v3",
-		"v2 B/pair", "v3 B/pair",
-		"v2 enc/pair", "v3 enc/pair",
-		"logical/v3")
+	fmt.Printf("record-codec measurement: v3 containers (scale %dx)\n\n", scale)
+	t := benchfmt.NewTable("Compression: v3 container codec",
+		"workload", "encoding", "pairs", "v3 bytes", "v3 B/pair", "v3 enc/pair", "logical/v3")
 	for _, workload := range microbench.CompressWorkloads {
 		for _, strat := range microbench.CompressStrategies {
 			if err := ctx.Err(); err != nil {
@@ -490,20 +484,13 @@ func compressFigure(ctx context.Context, opts options) error {
 			if err := microbench.CompressVerify(workload, strat, 1); err != nil {
 				return err
 			}
-			v2, err := microbench.CompressRun(workload, strat, lineage.CodecV2, scale)
+			r, err := microbench.CompressRun(workload, strat, scale)
 			if err != nil {
-				return fmt.Errorf("%s/%s v2: %w", workload, strat, err)
+				return fmt.Errorf("%s/%s: %w", workload, strat, err)
 			}
-			v3, err := microbench.CompressRun(workload, strat, lineage.CodecV3, scale)
-			if err != nil {
-				return fmt.Errorf("%s/%s v3: %w", workload, strat, err)
-			}
-			t.AddRow(workload, strat.String(), v3.Pairs,
-				benchfmt.Bytes(v2.LineageBytes), benchfmt.Bytes(v3.LineageBytes),
-				benchfmt.Ratio(float64(v2.LineageBytes), float64(v3.LineageBytes)),
-				fmt.Sprintf("%.1f", v2.BytesPerPair()), fmt.Sprintf("%.1f", v3.BytesPerPair()),
-				v2.EncodePerPair(), v3.EncodePerPair(),
-				benchfmt.Ratio(float64(v3.LogicalBytes), float64(v3.LineageBytes)))
+			t.AddRow(workload, strat.String(), r.Pairs,
+				benchfmt.Bytes(r.LineageBytes), fmt.Sprintf("%.1f", r.BytesPerPair()), r.EncodePerPair(),
+				benchfmt.Ratio(float64(r.LogicalBytes), float64(r.LineageBytes)))
 		}
 	}
 	render(t)

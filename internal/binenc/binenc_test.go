@@ -2,12 +2,25 @@ package binenc
 
 import (
 	"bytes"
-	"math/rand"
+	"encoding/binary"
 	"testing"
 	"testing/quick"
 
 	"subzero/internal/grid"
 )
+
+// decodeCells decodes one container-form cell set, returning the cells
+// and the number of bytes consumed.
+func decodeCells(src []byte) ([]uint64, int, error) {
+	var cells []uint64
+	n, err := DecodeContainersInto(src, func(start, length uint64) bool {
+		for c := start; c < start+length; c++ {
+			cells = append(cells, c)
+		}
+		return true
+	})
+	return cells, n, err
+}
 
 func TestCellSetRoundTrip(t *testing.T) {
 	cases := [][]uint64{
@@ -16,70 +29,56 @@ func TestCellSetRoundTrip(t *testing.T) {
 		{5},
 		{1, 2, 3},
 		{0, 1000000, 1000001, 1 << 40},
+		append(everyOther(0, 512), 1<<40, 1<<40+1),
 	}
 	for _, cells := range cases {
-		enc := AppendCellSet(nil, cells)
-		got, n, err := DecodeCellSet(enc)
+		enc := AppendCellSetContainers(nil, cells)
+		got, n, err := decodeCells(enc)
 		if err != nil {
 			t.Fatalf("decode %v: %v", cells, err)
 		}
 		if n != len(enc) {
 			t.Fatalf("decode consumed %d of %d bytes", n, len(enc))
 		}
-		if len(got) != len(cells) {
+		if !equalCells(got, cells) {
 			t.Fatalf("got %v, want %v", got, cells)
-		}
-		for i := range cells {
-			if got[i] != cells[i] {
-				t.Fatalf("got %v, want %v", got, cells)
-			}
-		}
-	}
-}
-
-func TestCellSetLenMatchesEncoding(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 100; trial++ {
-		cells := make([]uint64, rng.Intn(40))
-		for i := range cells {
-			cells[i] = uint64(rng.Int63n(1 << 30))
-		}
-		cells = grid.SortCells(cells)
-		enc := AppendCellSet(nil, cells)
-		if got := CellSetLen(cells); got != len(enc) {
-			t.Fatalf("CellSetLen=%d, encoding is %d bytes", got, len(enc))
 		}
 	}
 }
 
 func TestCellSetLocalityCompression(t *testing.T) {
-	// A dense run of adjacent cells must encode in ~1 byte/cell after the
-	// first; this property is what makes region lineage cheap to store.
+	// A dense run of adjacent cells must encode as a handful of run
+	// containers, not per cell; this property is what makes region
+	// lineage cheap to store.
 	cells := make([]uint64, 1000)
 	for i := range cells {
 		cells[i] = uint64(1_000_000 + i)
 	}
-	enc := AppendCellSet(nil, cells)
-	if len(enc) > 1100 {
-		t.Fatalf("dense run encoded to %d bytes, expected ~1 byte/cell", len(enc))
+	enc := AppendCellSetContainers(nil, cells)
+	if len(enc) > 32 {
+		t.Fatalf("dense run encoded to %d bytes, expected a few run containers", len(enc))
 	}
 }
 
 func TestDecodeCellSetTruncated(t *testing.T) {
-	enc := AppendCellSet(nil, []uint64{1, 500, 100000, 1 << 33})
-	for cut := 0; cut < len(enc); cut++ {
-		if _, _, err := DecodeCellSet(enc[:cut]); err == nil {
-			// cut==0 decodes count 0? No: empty buffer returns error.
-			// A prefix that happens to be a full valid encoding of a
-			// shorter set is impossible here because count is fixed.
-			t.Fatalf("truncation at %d bytes not detected", cut)
+	for _, cells := range [][]uint64{
+		{1, 500, 100000, 1 << 33},               // sparse-direct
+		append(everyOther(0, 512), 5000, 1<<33), // bitmap + array tiles
+	} {
+		enc := AppendCellSetContainers(nil, cells)
+		for cut := 0; cut < len(enc); cut++ {
+			// The leading count fixes the set size, so no proper prefix
+			// can be a complete valid encoding.
+			if _, _, err := decodeCells(enc[:cut]); err == nil {
+				t.Fatalf("%d cells: truncation at %d bytes not detected", len(cells), cut)
+			}
 		}
 	}
 }
 
 func TestDecodeCellSetBogusCount(t *testing.T) {
-	enc := AppendUvarint(nil, 1<<40) // absurd count, tiny buffer
-	if _, _, err := DecodeCellSet(enc); err == nil {
+	enc := binary.AppendUvarint(nil, 1<<40) // absurd count, tiny buffer
+	if _, _, err := decodeCells(enc); err == nil {
 		t.Fatal("bogus count not rejected")
 	}
 }
@@ -106,7 +105,7 @@ func TestRectDecodeErrors(t *testing.T) {
 	if _, _, err := DecodeRect(nil); err == nil {
 		t.Fatal("empty rect buffer accepted")
 	}
-	bad := AppendUvarint(nil, 0) // rank 0
+	bad := binary.AppendUvarint(nil, 0) // rank 0
 	if _, _, err := DecodeRect(bad); err == nil {
 		t.Fatal("rank-0 rect accepted")
 	}
@@ -127,24 +126,8 @@ func TestBytesRoundTrip(t *testing.T) {
 			t.Fatalf("round trip failed for %d bytes", len(b))
 		}
 	}
-	if _, _, err := DecodeBytes(AppendUvarint(nil, 100)); err == nil {
+	if _, _, err := DecodeBytes(binary.AppendUvarint(nil, 100)); err == nil {
 		t.Fatal("oversize byte string accepted")
-	}
-}
-
-func TestUint64Key(t *testing.T) {
-	for _, v := range []uint64{0, 1, 1 << 63, ^uint64(0)} {
-		got, err := Uint64(PutUint64(v))
-		if err != nil || got != v {
-			t.Fatalf("Uint64 round trip %d -> %d err=%v", v, got, err)
-		}
-	}
-	if _, err := Uint64([]byte{1, 2}); err == nil {
-		t.Fatal("short key accepted")
-	}
-	// Lexicographic order must equal numeric order.
-	if bytes.Compare(PutUint64(5), PutUint64(300)) >= 0 {
-		t.Fatal("big-endian keys not order-preserving")
 	}
 }
 
@@ -156,19 +139,8 @@ func TestQuickCellSetRoundTrip(t *testing.T) {
 			cells[i] = uint64(v)
 		}
 		cells = grid.SortCells(cells)
-		got, n, err := DecodeCellSet(AppendCellSet(nil, cells))
-		if err != nil || n == 0 {
-			return false
-		}
-		if len(got) != len(cells) {
-			return false
-		}
-		for i := range cells {
-			if got[i] != cells[i] {
-				return false
-			}
-		}
-		return true
+		got, n, err := decodeCells(AppendCellSetContainers(nil, cells))
+		return err == nil && n > 0 && equalCells(got, cells)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
@@ -182,11 +154,11 @@ func TestQuickSequentialFrames(t *testing.T) {
 		ca := grid.SortCells(widen(a))
 		cb := grid.SortCells(widen(b))
 		var buf []byte
-		buf = AppendCellSet(buf, ca)
+		buf = AppendCellSetContainers(buf, ca)
 		buf = AppendBytes(buf, payload)
-		buf = AppendCellSet(buf, cb)
+		buf = AppendCellSetContainers(buf, cb)
 
-		g1, n1, err := DecodeCellSet(buf)
+		g1, n1, err := decodeCells(buf)
 		if err != nil {
 			return false
 		}
@@ -194,7 +166,7 @@ func TestQuickSequentialFrames(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		g2, n3, err := DecodeCellSet(buf[n1+n2:])
+		g2, n3, err := decodeCells(buf[n1+n2:])
 		if err != nil || n1+n2+n3 != len(buf) {
 			return false
 		}
@@ -233,7 +205,7 @@ func BenchmarkAppendCellSet1000(b *testing.B) {
 	buf := make([]byte, 0, 4096)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		buf = AppendCellSet(buf[:0], cells)
+		buf = AppendCellSetContainers(buf[:0], cells)
 	}
 }
 
@@ -242,10 +214,10 @@ func BenchmarkDecodeCellSet1000(b *testing.B) {
 	for i := range cells {
 		cells[i] = uint64(i * 3)
 	}
-	enc := AppendCellSet(nil, cells)
+	enc := AppendCellSetContainers(nil, cells)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := DecodeCellSet(enc); err != nil {
+		if _, err := DecodeContainersInto(enc, func(start, length uint64) bool { return true }); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -29,7 +29,7 @@ import (
 // tile−prevTile−1, so tiles are strictly increasing by construction.
 // Tiny sets (≤ SparseDirectMax cells — the singleton per-cell pairs that
 // dominate many workloads) skip tiling entirely: nTiles==0 is followed by
-// the cells as first+gap varints, costing no more than the v1 form.
+// the cells as first+gap varints, about one varint per cell.
 //
 // TileCells is a multiple of 64, so a tile's bit block aligns with the
 // uint64 words of the query bitmaps and lookups can OR/AND whole words

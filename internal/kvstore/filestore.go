@@ -189,7 +189,7 @@ func (s *FileStore) Put(key, val []byte) error {
 	return nil
 }
 
-// PutBatch implements BatchWriter: the whole batch is framed and appended
+// PutBatch implements Store: the whole batch is framed and appended
 // under one lock acquisition and one pass through the write buffer — the
 // group commit the ingest shard workers rely on. A crash mid-batch tears
 // the log inside the batch; recovery truncates at the first bad record,
@@ -244,8 +244,8 @@ var metaMagic = []byte("szm1")
 // metadata blob.
 func (s *FileStore) metaPath() string { return s.path + ".meta" }
 
-// CommitMeta implements MetaCommitter: the blob is written to a temp file
-// and renamed over the sidecar, so a crash at any point leaves either the
+// CommitMeta implements Store: the blob is written to a temp file and
+// renamed over the sidecar, so a crash at any point leaves either the
 // previous blob or the new one — never a torn mix. A torn temp file is
 // ignored on load.
 func (s *FileStore) CommitMeta(val []byte) error {
@@ -295,8 +295,8 @@ func (s *FileStore) CommitMeta(val []byte) error {
 	return nil
 }
 
-// LoadMeta implements MetaCommitter. A missing, truncated, or
-// corrupt sidecar reads as absent: lineage is a recoverable cache, so the
+// LoadMeta implements Store. A missing, truncated, or corrupt sidecar
+// reads as absent: lineage is a recoverable cache, so the
 // caller rebuilds what the blob described instead of half-loading it.
 func (s *FileStore) LoadMeta() ([]byte, bool, error) {
 	s.mu.Lock()
@@ -346,8 +346,8 @@ func (s *FileStore) Get(key []byte) ([]byte, bool, error) {
 	return val, true, nil
 }
 
-// GetBatch implements GetBatcher: one lock acquisition and one write-
-// buffer flush serve the whole batch, and value buffers are reused
+// GetBatch implements Store: one lock acquisition and one write-buffer
+// flush serve the whole batch, and value buffers are reused
 // between keys (the val passed to fn is only valid during the call).
 func (s *FileStore) GetBatch(keys [][]byte, fn func(i int, val []byte, ok bool) bool) error {
 	s.mu.Lock()

@@ -326,6 +326,55 @@ func TestManagerPersistenceAcrossReopen(t *testing.T) {
 	}
 }
 
+// Create hands out an empty store even when an earlier manager left the
+// namespace's log, metadata sidecar, and commit temp file on disk, or
+// when the namespace is already open in this manager.
+func TestManagerCreateStartsEmpty(t *testing.T) {
+	root := t.TempDir()
+	m, err := NewManager(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, _ := m.Open("run001/node")
+	_ = s.Put([]byte("pair-1"), []byte("lineage"))
+	if err := s.CommitMeta([]byte("meta")); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+	tmp := filepath.Join(root, sanitize("run001/node")+".log.meta.tmp")
+	if err := os.WriteFile(tmp, []byte("torn"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	m2, err := NewManager(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m2.Close()
+	for round := 0; round < 2; round++ {
+		s2, err := m2.Create("run001/node")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s2.Len() != 0 {
+			t.Fatalf("round %d: Create reopened %d earlier keys", round, s2.Len())
+		}
+		if _, ok, err := s2.LoadMeta(); err != nil || ok {
+			t.Fatalf("round %d: Create kept earlier metadata: ok=%v err=%v", round, ok, err)
+		}
+		if _, err := os.Stat(tmp); !os.IsNotExist(err) {
+			t.Fatalf("round %d: stale commit temp file survived Create: %v", round, err)
+		}
+		// Dirty the open store; the next round's Create must discard it.
+		_ = s2.Put([]byte("pair-2"), []byte("lineage"))
+		if err := s2.CommitMeta([]byte("meta")); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // Property: a randomized batch of Put operations leaves both
 // implementations exactly matching a map reference.
 func TestQuickStoreVsReference(t *testing.T) {

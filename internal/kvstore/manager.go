@@ -46,11 +46,33 @@ func (m *Manager) SetMetrics(kv *obs.KVObs) {
 	m.mu.Unlock()
 }
 
-// Open returns the store for a namespace, creating it on first use.
-// Namespaces are arbitrary strings; they are sanitized into file names.
+// Open returns the store for a namespace, creating it on first use. A
+// namespace not yet open in this manager reopens whatever an earlier
+// manager rooted at the same directory left on disk. Namespaces are
+// arbitrary strings; they are sanitized into file names.
 func (m *Manager) Open(namespace string) (Store, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	return m.openLocked(namespace)
+}
+
+// Create returns an empty store for a namespace. Whatever the namespace
+// holds — a store open in this manager, or files an earlier process left
+// under the same root — is closed and deleted first. Workflow runs and
+// store rebuilds open their namespaces through Create: run IDs restart in
+// every process, so reopening an earlier process's log would merge its
+// lineage into the new run's.
+func (m *Manager) Create(namespace string) (Store, error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if err := m.dropLocked(namespace); err != nil {
+		return nil, err
+	}
+	return m.openLocked(namespace)
+}
+
+// openLocked is Open for callers holding m.mu.
+func (m *Manager) openLocked(namespace string) (Store, error) {
 	if s, ok := m.stores[namespace]; ok {
 		return s, nil
 	}
@@ -58,7 +80,7 @@ func (m *Manager) Open(namespace string) (Store, error) {
 	if m.root == "" {
 		s = NewMem()
 	} else {
-		fs, err := OpenFile(filepath.Join(m.root, sanitize(namespace)+".log"))
+		fs, err := OpenFile(m.logPath(namespace))
 		if err != nil {
 			return nil, err
 		}
@@ -69,17 +91,23 @@ func (m *Manager) Open(namespace string) (Store, error) {
 	return s, nil
 }
 
-// dropLocked closes and removes one namespace's store and backing file.
-// Callers hold m.mu.
+// logPath returns the log file backing a namespace; its metadata sidecar
+// and commit temp file sit beside it.
+func (m *Manager) logPath(namespace string) string {
+	return filepath.Join(m.root, sanitize(namespace)+".log")
+}
+
+// dropLocked closes one namespace's store, if open, and removes its
+// backing files, whether or not this manager opened them. Callers hold
+// m.mu.
 func (m *Manager) dropLocked(namespace string) error {
-	s, ok := m.stores[namespace]
-	if !ok {
-		return nil
+	var closeErr error
+	if s, ok := m.stores[namespace]; ok {
+		delete(m.stores, namespace)
+		closeErr = s.Close()
 	}
-	delete(m.stores, namespace)
-	closeErr := s.Close()
 	if m.root != "" {
-		base := filepath.Join(m.root, sanitize(namespace)+".log")
+		base := m.logPath(namespace)
 		for _, path := range []string{base, base + ".meta", base + ".meta.tmp"} {
 			if err := os.Remove(path); err != nil && !os.IsNotExist(err) && closeErr == nil {
 				closeErr = err
@@ -89,7 +117,7 @@ func (m *Manager) dropLocked(namespace string) error {
 	return closeErr
 }
 
-// Drop closes and deletes a namespace's store and backing file.
+// Drop closes and deletes a namespace's store and backing files.
 func (m *Manager) Drop(namespace string) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()

@@ -13,14 +13,14 @@ import (
 //
 //	'P' + uvarint(pairID)          region-pair record
 //	'K' + slot byte + 8-byte cell  per-cell entry (One encodings)
-//	'!' + name                     store metadata (next pair id, R-trees)
 //
 // For backward-optimized stores the only key slot is 0 (output cells); for
-// forward-optimized stores slot i holds the cells of input i.
+// forward-optimized stores slot i holds the cells of input i. Store
+// metadata (next pair id, stats, R-trees) lives in the hashtable's
+// committed metadata blob, not under a key.
 const (
 	keyPair = 'P'
 	keyCell = 'K'
-	keyMeta = '!'
 )
 
 func pairKey(id uint64) []byte {
@@ -37,14 +37,12 @@ func cellKey(slot int, cell uint64) []byte {
 	return buf
 }
 
-func metaKey(name string) []byte { return append([]byte{keyMeta}, name...) }
-
 // cellSet is a decoded record cell set as the lookup path consumes it:
 // word-parallel application to destination bitmaps (addTo), word-parallel
 // probing against query bitmaps (intersects), point membership, and
-// ordered iteration. Two implementations exist — runSet for v1/v2 records
-// (materialized runs) and containerSet for v3 records, which answers all
-// of these directly on the compressed container form.
+// ordered iteration. Two implementations exist — runSet for tiny
+// sparse-direct sets (materialized runs) and containerSet for tiled sets,
+// which answers all of these directly on the compressed container form.
 type cellSet interface {
 	addTo(dst *bitmap.Bitmap) uint64
 	intersects(q *bitmap.Bitmap) bool
@@ -65,7 +63,7 @@ type runSet struct {
 }
 
 // appendRun appends a run, merging it into the previous run when
-// contiguous (legacy per-cell decoding produces adjacent cells).
+// contiguous (sparse-direct decoding produces adjacent cells).
 func (rs *runSet) appendRun(start, length uint64) {
 	if n := len(rs.runs); n > 0 && rs.runs[n-2]+rs.runs[n-1] == start {
 		rs.runs[n-1] += length
@@ -134,71 +132,42 @@ func (rs *runSet) cells(dst []uint64) []uint64 {
 func (rs *runSet) size() uint64 { return rs.count }
 
 // record is a decoded region-pair record. Cell sets stay in their
-// compact form — runs for v1/v2, compressed containers for v3 — so a
-// record held in recCache costs far less than per-cell slices and
-// replays into a destination bitmap word-parallel.
+// compact form — runs for sparse-direct sets, compressed containers
+// otherwise — so a record held in recCache costs far less than per-cell
+// slices and replays into a destination bitmap word-parallel.
 type record struct {
 	outs    cellSet
 	ins     []cellSet // nil for payload records
 	payload []byte
 }
 
-// The leading flags byte doubles as the record-format version:
-//
-//	0, 1 — v1 (pre-span): cell sets in per-cell delta+varint form
-//	2, 3 — v2 (span): cell sets in run-length (gap, length) form
-//	4, 5 — v3 (containers): cell sets in tiled container form
-//	       (binenc.AppendCellSetContainers), probed in situ
-//
-// Writers emit the store's configured codec (v3 by default; see
-// Store.SetCodec); readers accept every version, so stores written by
-// earlier builds stay readable and versions may mix within one store.
+// The leading flags byte doubles as the record-format version. Every
+// store writes v3, the tiled container form
+// (binenc.AppendCellSetContainers), probed in situ. Flags 0–3 were the
+// retired v1 (per-cell) and v2 (span) forms: they decode as corrupt, so a
+// store written by an earlier build degrades and is rebuilt by
+// re-execution rather than read.
 const (
-	recFull              = 0 // v1: explicit input cell sets follow
-	recPayload           = 1 // v1: payload blob follows
-	recFullRuns          = 2 // v2: run-length input cell sets follow
-	recPayloadRuns       = 3 // v2: run-length outs + payload blob
-	recFullContainers    = 4 // v3: container input cell sets follow
-	recPayloadContainers = 5 // v3: container outs + payload blob
+	recFull    = 4 // container input cell sets follow
+	recPayload = 5 // container outs + payload blob
 )
 
-// encodeRecord serializes a region pair with the default codec.
-func encodeRecord(rp *RegionPair) []byte { return encodeRecordV3(rp) }
+// RecordFormat is the record format version every store writes.
+const RecordFormat = 3
 
-// encodeRecordV2 serializes a region pair as a (v2, run-length)
-// pair-record value. Kept callable — not just readable — so mixed-version
-// compat tests and the compress benchmark can build v2 stores, and the
-// golden v2 bytes stay pinned against the exact original encoder.
-func encodeRecordV2(rp *RegionPair) []byte {
+// encodeRecord serializes a region pair as a pair-record value. Cell
+// offsets are delta-coded against their tile base, and each tile
+// independently picks the smallest of the array, run, and bitmap
+// container forms.
+func encodeRecord(rp *RegionPair) []byte {
 	var buf []byte
 	if rp.IsPayload() {
-		buf = append(buf, recPayloadRuns)
-		buf = binenc.AppendCellSetRuns(buf, rp.Out)
-		buf = binenc.AppendBytes(buf, rp.Payload)
-		return buf
-	}
-	buf = append(buf, recFullRuns)
-	buf = binenc.AppendCellSetRuns(buf, rp.Out)
-	buf = binary.AppendUvarint(buf, uint64(len(rp.Ins)))
-	for _, in := range rp.Ins {
-		buf = binenc.AppendCellSetRuns(buf, in)
-	}
-	return buf
-}
-
-// encodeRecordV3 serializes a region pair as a (v3, tiled container)
-// pair-record value. Cell offsets are delta-coded against their tile
-// base, and each tile independently picks the smallest of the array,
-// run, and bitmap container forms.
-func encodeRecordV3(rp *RegionPair) []byte {
-	var buf []byte
-	if rp.IsPayload() {
-		buf = append(buf, recPayloadContainers)
+		buf = append(buf, recPayload)
 		buf = binenc.AppendCellSetContainers(buf, rp.Out)
 		buf = binenc.AppendBytes(buf, rp.Payload)
 		return buf
 	}
-	buf = append(buf, recFullContainers)
+	buf = append(buf, recFull)
 	buf = binenc.AppendCellSetContainers(buf, rp.Out)
 	buf = binary.AppendUvarint(buf, uint64(len(rp.Ins)))
 	for _, in := range rp.Ins {
@@ -207,59 +176,26 @@ func encodeRecordV3(rp *RegionPair) []byte {
 	return buf
 }
 
-// decodeCellSetAny decodes one cell set — run-length (v2) or per-cell
-// delta+varint (v1) according to runsForm — straight into a runSet via
-// the streaming visitors, returning the bytes consumed. Run storage is
-// sized once from the leading count (exact for v2, where it is the run
-// count; worst case for v1, where it counts cells) so decoding never
-// regrows the slice.
-func decodeCellSetAny(src []byte, runsForm bool, into *runSet) (int, error) {
-	if n, read := binary.Uvarint(src); read > 0 && n <= uint64(len(src)) && into.runs == nil {
-		into.runs = make([]uint64, 0, 2*n)
-	}
-	if runsForm {
-		return binenc.DecodeRunsInto(src, func(start, length uint64) bool {
-			into.appendRun(start, length)
-			return true
-		})
-	}
-	return binenc.DecodeCellSetInto(src, func(cell uint64) bool {
-		into.appendRun(cell, 1)
-		return true
-	})
-}
-
-// decodeCellSet decodes one cell set of the given record version into
-// its in-memory probe form: a runSet for v1/v2, and for v3 either a
-// containerSet wrapping the compressed bytes in situ or a runSet for the
-// tiny sparse-direct sets.
-func decodeCellSet(src []byte, flags byte) (cellSet, int, error) {
-	if flags >= recFullContainers {
-		return decodeCellSetContainers(src)
-	}
-	rs := &runSet{}
-	n, err := decodeCellSetAny(src, flags == recFullRuns || flags == recPayloadRuns, rs)
-	return rs, n, err
-}
-
-// decodeRecord parses a pair-record value of any format version.
+// decodeRecord parses a pair-record value.
 func decodeRecord(val []byte) (*record, error) {
 	if len(val) == 0 {
 		return nil, fmt.Errorf("lineage: empty pair record")
 	}
 	flags, rest := val[0], val[1:]
-	if flags > recPayloadContainers {
+	switch {
+	case flags < recFull:
+		return nil, fmt.Errorf("lineage: record format v%d no longer supported", flags/2+1)
+	case flags > recPayload:
 		return nil, fmt.Errorf("lineage: unknown pair record flags %d", flags)
 	}
-	isPayload := flags == recPayload || flags == recPayloadRuns || flags == recPayloadContainers
 	rec := &record{}
-	outs, n, err := decodeCellSet(rest, flags)
+	outs, n, err := decodeCellSetContainers(rest)
 	if err != nil {
 		return nil, fmt.Errorf("lineage: pair record outs: %w", err)
 	}
 	rec.outs = outs
 	rest = rest[n:]
-	if isPayload {
+	if flags == recPayload {
 		payload, _, err := binenc.DecodeBytes(rest)
 		if err != nil {
 			return nil, fmt.Errorf("lineage: pair record payload: %w", err)
@@ -275,7 +211,7 @@ func decodeRecord(val []byte) (*record, error) {
 	rest = rest[read:]
 	rec.ins = make([]cellSet, nIns)
 	for i := range rec.ins {
-		in, n, err := decodeCellSet(rest, flags)
+		in, n, err := decodeCellSetContainers(rest)
 		if err != nil {
 			return nil, fmt.Errorf("lineage: pair record input %d: %w", i, err)
 		}

@@ -24,7 +24,7 @@ var (
 func testPayload(ins [][]uint64) []byte {
 	var buf []byte
 	for _, in := range ins {
-		buf = binenc.AppendCellSet(buf, in)
+		buf = binenc.AppendCellSetContainers(buf, in)
 	}
 	return buf
 }
@@ -33,12 +33,20 @@ func testPayload(ins [][]uint64) []byte {
 func testMapP(_ uint64, payload []byte, inputIdx int, dst []uint64) []uint64 {
 	off := 0
 	for i := 0; ; i++ {
-		cells, n, err := binenc.DecodeCellSet(payload[off:])
+		n, err := binenc.DecodeContainersInto(payload[off:], func(start, length uint64) bool {
+			if i != inputIdx {
+				return false // skip this set; n still covers it
+			}
+			for c := start; c < start+length; c++ {
+				dst = append(dst, c)
+			}
+			return true
+		})
 		if err != nil {
 			panic(err)
 		}
 		if i == inputIdx {
-			return append(dst, cells...)
+			return dst
 		}
 		off += n
 	}

@@ -3,6 +3,7 @@ package microbench
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"time"
 
@@ -12,40 +13,35 @@ import (
 	"subzero/internal/lineage"
 )
 
-// Compression ablation for the v3 container record codec: the same
-// synthetic region pairs are written under the v2 span codec and the v3
-// tiled container codec, isolating the record format from everything
-// else (strategy, index, kvstore). Workloads span the cell-set shapes
-// real operators produce:
+// Compression measurement for the container record codec: synthetic
+// region pairs are written into an otherwise bare store, isolating the
+// record format from everything else (strategy, index, kvstore).
+// Workloads span the cell-set shapes real operators produce:
 //
 //	strided-mask   every-other-cell masks (downsampling, channel
-//	               deinterleave) — the v2 worst case: one ~2-byte run
-//	               per surviving cell vs 1 bit in a bitmap container
+//	               deinterleave) — bitmap containers, 1 bit per cell
 //	dense-block    contiguous rectangular regions (convolution windows,
 //	               astronomy co-adds) — run and full containers
 //	scatter        ~40% random scatter in local windows (thresholded
 //	               masks) — bitmap containers
 //	sparse-point   small scattered fanin (point lookups, genomics
-//	               row ops) — the sparse-direct form; v3 must hold
-//	               parity with v2 here, not win
+//	               row ops) — the sparse-direct form
 //
 // CompressWorkloads lists them in report order.
 var CompressWorkloads = []string{"strided-mask", "dense-block", "scatter", "sparse-point"}
 
-// CompressStrategies are the encodings the ablation writes under.
+// CompressStrategies are the encodings the measurement writes under.
 var CompressStrategies = []lineage.Strategy{lineage.StratFullOne, lineage.StratFullMany}
 
-// CompressResult is one (workload, strategy, codec) measurement.
+// CompressResult is one (workload, strategy) measurement.
 type CompressResult struct {
 	Workload string
 	Strategy lineage.Strategy
-	Codec    int
 	Pairs    int64
-	// LineageBytes is the store's total footprint: pair records in the
-	// codec under test, plus the strategy's index (hash cell entries or
-	// R-tree items), which is codec-independent. Many encodings keep one
-	// small index item per pair, so their ratio tracks the record codec;
-	// One encodings carry per-cell hash entries in both columns.
+	// LineageBytes is the store's total footprint: pair records plus the
+	// strategy's index (hash cell entries or R-tree items). Many
+	// encodings keep one small index item per pair, so their ratio tracks
+	// the record codec; One encodings also carry per-cell hash entries.
 	LineageBytes int64
 	// LogicalBytes is the uncompressed volume (8 bytes per stored cell
 	// index plus payload), the numerator of the compression ratio.
@@ -152,18 +148,14 @@ func compressPairs(workload string, scale int) ([]lineage.RegionPair, error) {
 }
 
 // CompressRun writes one workload's pairs into a fresh in-memory store
-// under the given strategy and codec and measures the synchronous
-// write path.
-func CompressRun(workload string, strat lineage.Strategy, codec, scale int) (*CompressResult, error) {
+// under the given strategy and measures the synchronous write path.
+func CompressRun(workload string, strat lineage.Strategy, scale int) (*CompressResult, error) {
 	pairs, err := compressPairs(workload, scale)
 	if err != nil {
 		return nil, err
 	}
 	st, err := lineage.OpenStore(kvstore.NewMem(), strat, compressSpace, []*grid.Space{compressSpace})
 	if err != nil {
-		return nil, err
-	}
-	if err := st.SetCodec(codec); err != nil {
 		return nil, err
 	}
 	start := time.Now()
@@ -186,7 +178,6 @@ func CompressRun(workload string, strat lineage.Strategy, codec, scale int) (*Co
 	return &CompressResult{
 		Workload:     workload,
 		Strategy:     strat,
-		Codec:        codec,
 		Pairs:        int64(st.Stats().Pairs),
 		LineageBytes: st.SizeBytes(),
 		LogicalBytes: st.LogicalBytes(),
@@ -194,34 +185,23 @@ func CompressRun(workload string, strat lineage.Strategy, codec, scale int) (*Co
 	}, nil
 }
 
-// CompressVerify cross-checks that a v2 and a v3 store over the same
-// workload answer an identical backward query workload — the in-situ
-// container probe path must be answer-equivalent to the materializing
-// v2 path.
+// CompressVerify checks that a store over the workload answers a
+// backward query workload exactly like brute force over the generated
+// pair list: the in-situ container probe path must return the union of
+// the input cells of every pair whose outputs meet the query.
 func CompressVerify(workload string, strat lineage.Strategy, scale int) error {
 	pairs, err := compressPairs(workload, scale)
 	if err != nil {
 		return err
 	}
-	open := func(codec int) (*lineage.Store, error) {
-		st, err := lineage.OpenStore(kvstore.NewMem(), strat, compressSpace, []*grid.Space{compressSpace})
-		if err != nil {
-			return nil, err
-		}
-		if err := st.SetCodec(codec); err != nil {
-			return nil, err
-		}
-		if err := st.WritePairs(pairs); err != nil {
-			return nil, err
-		}
-		return st, st.Flush()
-	}
-	v2, err := open(lineage.CodecV2)
+	st, err := lineage.OpenStore(kvstore.NewMem(), strat, compressSpace, []*grid.Space{compressSpace})
 	if err != nil {
 		return err
 	}
-	v3, err := open(lineage.CodecV3)
-	if err != nil {
+	if err := st.WritePairs(pairs); err != nil {
+		return err
+	}
+	if err := st.Flush(); err != nil {
 		return err
 	}
 	rng := rand.New(rand.NewSource(29))
@@ -231,24 +211,26 @@ func CompressVerify(workload string, strat lineage.Strategy, scale int) error {
 		for i := 0; i < 500; i++ {
 			q.Set(uint64(rng.Int63n(size)))
 		}
-		a, b := bitmap.New(compressSpace), bitmap.New(compressSpace)
-		if err := v2.Backward(q, a, 0, nil, nil, nil); err != nil {
+		want := bitmap.New(compressSpace)
+		for _, rp := range pairs {
+			if slices.ContainsFunc(rp.Out, q.Get) {
+				for _, c := range rp.Ins[0] {
+					want.Set(c)
+				}
+			}
+		}
+		got := bitmap.New(compressSpace)
+		if err := st.Backward(q, got, 0, nil, nil, nil); err != nil {
 			return err
 		}
-		if err := v3.Backward(q, b, 0, nil, nil, nil); err != nil {
-			return err
-		}
-		if a.Count() != b.Count() {
-			return fmt.Errorf("microbench: %s/%s: v2 and v3 backward answers differ (%d vs %d cells)",
-				workload, strat, a.Count(), b.Count())
-		}
-		same := true
-		a.Iterate(func(idx uint64) bool {
-			same = b.Get(idx)
+		same := got.Count() == want.Count()
+		want.Iterate(func(idx uint64) bool {
+			same = same && got.Get(idx)
 			return same
 		})
 		if !same {
-			return fmt.Errorf("microbench: %s/%s: v2 and v3 backward answers differ", workload, strat)
+			return fmt.Errorf("microbench: %s/%s: backward answer differs from brute force (%d vs %d cells)",
+				workload, strat, got.Count(), want.Count())
 		}
 	}
 	return nil

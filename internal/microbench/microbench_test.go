@@ -165,3 +165,18 @@ func TestSupportedModes(t *testing.T) {
 		t.Fatalf("modes=%v", modes)
 	}
 }
+
+// Every compression workload's store answers backward queries exactly
+// like brute force over its generated pairs, under both encodings.
+func TestCompressVerify(t *testing.T) {
+	for _, workload := range CompressWorkloads {
+		for _, strat := range CompressStrategies {
+			if err := CompressVerify(workload, strat, 1); err != nil {
+				t.Errorf("%s/%s: %v", workload, strat, err)
+			}
+		}
+	}
+	if err := CompressVerify("no-such-workload", lineage.StratFullOne, 1); err == nil {
+		t.Error("unknown workload accepted")
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -231,8 +232,13 @@ func (e *Executor) runNode(sp *trace.Span, run *Run, node *Node, sources map[str
 		if !strat.StoresPairs() {
 			continue
 		}
+		// A strategy listed twice keeps its first store: a second Create
+		// would discard it.
+		if slices.ContainsFunc(run.stores[node.ID], func(st *lineage.Store) bool { return st.Strategy() == strat }) {
+			continue
+		}
 		ns := fmt.Sprintf("%s/%s/%s", run.ID, node.ID, strat.ID())
-		kv, err := e.manager.Open(ns)
+		kv, err := e.manager.Create(ns)
 		if err != nil {
 			return err
 		}
@@ -557,8 +563,8 @@ func (e *Executor) RebuildStore(ctx context.Context, run *Run, nodeID string, st
 	}
 	strat := st.Strategy()
 	ns := fmt.Sprintf("%s/%s/%s@heal%d", run.ID, nodeID, strat.ID(), e.healSeq.Add(1))
-	drop := func() { _, _ = e.manager.DropPrefix(ns) }
-	kv, err := e.manager.Open(ns)
+	drop := func() { _ = e.manager.Drop(ns) }
+	kv, err := e.manager.Create(ns)
 	if err != nil {
 		return fmt.Errorf("workflow: rebuild %q: %w", nodeID, err)
 	}

@@ -177,6 +177,33 @@ func TestExecuteWithFullLineage(t *testing.T) {
 	}
 }
 
+// A plan that lists a strategy twice for one node gets one store for it,
+// and that store still answers: opening the namespace a second time must
+// not discard the first store.
+func TestExecuteDuplicateStrategyOneStore(t *testing.T) {
+	e := newExecutor(t)
+	plan := workflow.Plan{"double": {lineage.StratFullOne, lineage.StratFullOne}}
+	run, err := e.Execute(context.Background(), twoStepSpec(t), plan, map[string]*array.Array{"src": sourceArray(1, 2, 3, 4)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stores := run.Stores("double")
+	if len(stores) != 1 {
+		t.Fatalf("got %d stores for a strategy listed twice, want 1", len(stores))
+	}
+	mc, err := run.MapCtx("double")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst := bitmap.New(mc.InSpaces[0])
+	if err := stores[0].Backward(bitmap.FromCells(mc.OutSpace, []uint64{1}), dst, 0, nil, nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	if !dst.Get(1) || dst.Count() != 1 {
+		t.Fatalf("lineage wrong: %d cells", dst.Count())
+	}
+}
+
 func TestExecuteRejectsUnsupportedMode(t *testing.T) {
 	e := newExecutor(t)
 	plan := workflow.Plan{"double": {lineage.StratPayOne}} // built-ins don't do Pay

@@ -345,7 +345,7 @@ func (s *System) StoreInventory() []StoreStat {
 				Run:          id,
 				Node:         nodeID,
 				Strategy:     st.Strategy().ID(),
-				Codec:        st.Codec(),
+				Codec:        lineage.RecordFormat,
 				Pairs:        st.NumPairs(),
 				StoredBytes:  st.SizeBytes(),
 				LogicalBytes: st.LogicalBytes(),
